@@ -14,6 +14,7 @@ package core
 import (
 	"errors"
 	"math"
+	"slices"
 
 	"repro/internal/dp"
 	"repro/internal/empirical"
@@ -298,11 +299,15 @@ func EstimateIQR(rng *xrand.RNG, data []float64, eps, beta float64) (float64, er
 	if !(b > 0) {
 		b = math.SmallestNonzeroFloat64
 	}
-	q1, err := empirical.RealQuantile(rng, data, n/4, b, eps/3, beta/6)
+	// Order statistics ignore input order (IQRLowerBound above does not),
+	// so one sorted copy serves both quartiles without re-sorting.
+	sorted := slices.Clone(data)
+	slices.Sort(sorted)
+	q1, err := empirical.RealQuantile(rng, sorted, n/4, b, eps/3, beta/6)
 	if err != nil {
 		return 0, err
 	}
-	q3, err := empirical.RealQuantile(rng, data, 3*n/4, b, eps/3, beta/6)
+	q3, err := empirical.RealQuantile(rng, sorted, 3*n/4, b, eps/3, beta/6)
 	if err != nil {
 		return 0, err
 	}

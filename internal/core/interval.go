@@ -24,6 +24,7 @@ package core
 import (
 	"errors"
 	"math"
+	"slices"
 
 	"repro/internal/dp"
 	"repro/internal/empirical"
@@ -135,7 +136,10 @@ func QuantileInterval(rng *xrand.RNG, data []float64, p, eps, beta float64) (Qua
 	if !(b > 0) {
 		b = math.SmallestNonzeroFloat64
 	}
+	// Sort the discretized copy once: Range and both bracket quantiles
+	// then sort already-sorted copies in linear time.
 	ints := empirical.DiscretizeAll(data, b)
+	slices.Sort(ints)
 	lo, hi, err := empirical.Range(rng, ints, eps/4, beta/5)
 	if err != nil {
 		return QuantileCI{}, err
@@ -157,13 +161,11 @@ func QuantileInterval(rng *xrand.RNG, data []float64, p, eps, beta float64) (Qua
 	rLo := clampRank(int(math.Floor(p*nf-z)), n)
 	rHi := clampRank(int(math.Ceil(p*nf+z))+1, n)
 
-	clamped := make([]int64, len(ints))
-	copy(clamped, ints)
-	qLo, err := dp.FiniteDomainQuantile(rng, clamped, rLo, lo, hi, eps/4, beta/5)
+	qLo, err := dp.FiniteDomainQuantile(rng, ints, rLo, lo, hi, eps/4, beta/5)
 	if err != nil {
 		return QuantileCI{}, err
 	}
-	qHi, err := dp.FiniteDomainQuantile(rng, clamped, rHi, lo, hi, eps/4, beta/5)
+	qHi, err := dp.FiniteDomainQuantile(rng, ints, rHi, lo, hi, eps/4, beta/5)
 	if err != nil {
 		return QuantileCI{}, err
 	}

@@ -3,7 +3,7 @@ package dp
 import (
 	"errors"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/xrand"
 )
@@ -25,6 +25,10 @@ var ErrEmptyDomain = errors.New("dp: empty quantile domain")
 // mechanism groups it into maximal constant-score segments — O(n) of them —
 // and samples with the Gumbel-max trick in log space, so the run time is
 // O(n log n) independent of |X|.
+//
+// Only the multiset of data matters, so input order does not change the
+// result; data is never modified. Clipping preserves order, so on sorted
+// input the sort finishes in one linear pass and the call is O(n).
 func FiniteDomainQuantile(rng *xrand.RNG, data []int64, tau int, lo, hi int64, eps, beta float64) (int64, error) {
 	if err := CheckEpsilon(eps); err != nil {
 		return 0, err
@@ -66,7 +70,7 @@ func FiniteDomainQuantile(rng *xrand.RNG, data []int64, tau int, lo, hi int64, e
 			xs[i] = v
 		}
 	}
-	sort.Slice(xs, func(i, j int) bool { return xs[i] < xs[j] })
+	slices.Sort(xs)
 
 	// Enumerate maximal segments of constant score. The score of a point y
 	// is -len(y) with len(y) = max(0, tau' - rank_le(y), rank_lt(y) - tau'),
@@ -83,8 +87,11 @@ func FiniteDomainQuantile(rng *xrand.RNG, data []int64, tau int, lo, hi int64, e
 			return
 		}
 		length := math.Max(0, math.Max(tauPrime-float64(rankLE), float64(rankLT)-tauPrime))
-		count := float64(uint64(b)-uint64(a)) + 1
-		segs = append(segs, segment{a: a, b: b, lw: math.Log(count) - halfEps*length})
+		lc := 0.0 // log of a singleton's count: exactly log 1
+		if a != b {
+			lc = math.Log(float64(uint64(b)-uint64(a)) + 1)
+		}
+		segs = append(segs, segment{a: a, b: b, lw: lc - halfEps*length})
 	}
 
 	prev := lo       // next uncovered domain point

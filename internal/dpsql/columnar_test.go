@@ -361,6 +361,15 @@ func TestColumnarConcurrentStress(t *testing.T) {
 	defer func(r, m, x int) { scanChunkRows, scanChunkMin, scanChunkMax = r, m, x }(scanChunkRows, scanChunkMin, scanChunkMax)
 	scanChunkRows, scanChunkMin, scanChunkMax = 64, 128, 32
 
+	// Seed enough users that the readers' first Exec clears the minimum
+	// group size however far the writers have got when it runs.
+	const seeded = 8
+	for i := 0; i < seeded; i++ {
+		if err := tab.Insert(Str(fmt.Sprintf("seed-u%d", i)), Float(1), Int(0)); err != nil {
+			t.Fatal(err)
+		}
+	}
+
 	var wg sync.WaitGroup
 	for w := 0; w < 3; w++ {
 		wg.Add(1)
@@ -396,7 +405,7 @@ func TestColumnarConcurrentStress(t *testing.T) {
 		}(r)
 	}
 	wg.Wait()
-	if got := tab.NumRows(); got != 3*400 {
-		t.Fatalf("lost rows: %d of %d", got, 3*400)
+	if got := tab.NumRows(); got != seeded+3*400 {
+		t.Fatalf("lost rows: %d of %d", got, seeded+3*400)
 	}
 }

@@ -67,40 +67,47 @@ func TestExecConcurrent(t *testing.T) {
 
 // Queries racing streaming ingestion: Exec sees a consistent snapshot and
 // never fails, even as Insert grows the table under it. Run with -race.
+//
+// The writers run in lock-step with the Execs: each round starts four
+// writers beside one Exec, and each writer inserts until that Exec returns
+// or it has written its per-round quota. Inserts overlap every Exec, while
+// the table's growth stays bounded (at most 50·4·perRound rows) however the
+// scheduler orders the goroutines.
 func TestExecDuringInsert(t *testing.T) {
+	const rounds, writers, perRound = 50, 4, 100
 	db := newPopulatedDB(t, 50, 2)
 	tab, err := db.TableByName("events")
 	if err != nil {
 		t.Fatal(err)
 	}
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; ; i++ {
-				select {
-				case <-stop:
-					return
-				default:
+	for i := 0; i < rounds; i++ {
+		stop := make(chan struct{})
+		var wg sync.WaitGroup
+		for w := 0; w < writers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for k := 0; k < perRound; k++ {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					uid := fmt.Sprintf("w%d-%d-%d", w, i, k)
+					if err := tab.Insert(Str(uid), Float(99.5), Str("a")); err != nil {
+						t.Errorf("insert: %v", err)
+						return
+					}
 				}
-				uid := fmt.Sprintf("w%d-%d", w, i)
-				if err := tab.Insert(Str(uid), Float(99.5), Str("a")); err != nil {
-					t.Errorf("insert: %v", err)
-					return
-				}
-			}
-		}(w)
-	}
-	for i := 0; i < 50; i++ {
+			}(w)
+		}
 		rng := xrand.New(uint64(i))
 		if _, err := db.Exec(rng, "SELECT AVG(v) FROM events", 0.5); err != nil {
 			t.Errorf("exec %d: %v", i, err)
 		}
+		close(stop)
+		wg.Wait()
 	}
-	close(stop)
-	wg.Wait()
 }
 
 // A shared budget enforced across racing queries: no overdraw, ever.
@@ -169,32 +176,36 @@ func TestInvalidWhereCostsNoBudget(t *testing.T) {
 }
 
 // Concurrent UserMeans readers racing ingestion must be race-free too
-// (the serve layer's estimate path).
+// (the serve layer's estimate path). As in TestExecDuringInsert, the
+// writer runs in lock-step with the reads: it inserts beside each
+// UserMeans until that read returns or the per-round quota is written.
 func TestUserMeansDuringInsert(t *testing.T) {
+	const rounds, perRound = 200, 50
 	db := newPopulatedDB(t, 50, 2)
 	tab, err := db.TableByName("events")
 	if err != nil {
 		t.Fatal(err)
 	}
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; ; i++ {
-			select {
-			case <-stop:
-				return
-			default:
+	for i := 0; i < rounds; i++ {
+		stop := make(chan struct{})
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			for k := 0; k < perRound; k++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if err := tab.Insert(Str(fmt.Sprintf("x%d-%d", i, k)), Float(1), Str("b")); err != nil {
+					t.Errorf("insert: %v", err)
+					return
+				}
 			}
-			if err := tab.Insert(Str(fmt.Sprintf("x%d", i)), Float(1), Str("b")); err != nil {
-				t.Errorf("insert: %v", err)
-				return
-			}
-		}
-	}()
-	for i := 0; i < 200; i++ {
+		}()
 		xs, err := tab.UserMeans("v")
+		close(stop)
+		<-done
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -202,6 +213,4 @@ func TestUserMeansDuringInsert(t *testing.T) {
 			t.Errorf("lost users: %d", len(xs))
 		}
 	}
-	close(stop)
-	wg.Wait()
 }

@@ -9,6 +9,12 @@
 // (Algorithm 4), then run the clipped mean (Algorithm 5) or the
 // finite-domain inverse-sensitivity quantile (Algorithm 6) inside R̃(D).
 //
+// Radius, Range and the quantiles see the data only through counts and its
+// sorted multiset: each release clamps and sorts one copy, input order
+// never changes the result, and sorted input costs the sort only a linear
+// pass (clamping, discretization and recentring are monotone). The mean's
+// clipped sum reads the data in its original order.
+//
 // Utility (constant success probability): the mean has error
 // O(γ(D)/(εn)·log log γ(D)) — inward-neighborhood optimal with optimality
 // ratio O(log log γ(D)/ε) (Theorems 3.3 and 3.4) — and quantiles have rank
@@ -18,6 +24,7 @@ package empirical
 import (
 	"errors"
 	"math"
+	"slices"
 
 	"repro/internal/dp"
 	"repro/internal/xrand"
@@ -48,53 +55,56 @@ func clampInt64(v int64) int64 {
 	return v
 }
 
-// clampAll returns a clamped copy of data.
-func clampAll(data []int64) []int64 {
-	out := make([]int64, len(data))
+// sortedClamped returns a clamped copy of data in increasing order. The
+// mechanisms below see the data only through counts and order statistics,
+// so one sorted copy serves a whole release. Clamping is monotone, so
+// sorted input stays sorted and the sort finishes in one linear pass.
+func sortedClamped(data []int64) []int64 {
+	xs := make([]int64, len(data))
 	for i, v := range data {
-		out[i] = clampInt64(v)
+		xs[i] = clampInt64(v)
 	}
-	return out
+	slices.Sort(xs)
+	return xs
 }
 
 // Radius is Algorithm 3 (InfiniteDomainRadius): an eps-DP estimate r̃ad(D)
 // with r̃ad(D) <= 2·rad(D) while [-r̃ad, r̃ad] misses only
 // O(log(log(rad(D))/beta)/eps) elements of D, with probability >= 1-beta
-// (Theorem 3.1).
+// (Theorem 3.1). Input order does not matter; sorted input sorts in
+// linear time.
 func Radius(rng *xrand.RNG, data []int64, eps, beta float64) (int64, error) {
+	return radiusSorted(rng, sortedClamped(data), eps, beta)
+}
+
+// radiusSorted is Radius over clamped data in increasing order: each SVT
+// count |xs ∩ [-2^k, 2^k]| is two binary searches.
+func radiusSorted(rng *xrand.RNG, xs []int64, eps, beta float64) (int64, error) {
 	if err := dp.CheckEpsilon(eps); err != nil {
 		return 0, err
 	}
 	if err := dp.CheckBeta(beta); err != nil {
 		return 0, err
 	}
-	if len(data) == 0 {
+	if len(xs) == 0 {
 		return 0, dp.ErrEmptyData
 	}
-	xs := clampAll(data)
 	n := float64(len(xs))
 
 	threshold := n - dp.SVTLemma26Slack(eps, beta)
 	idx, err := dp.SVT(rng, threshold, eps, func(i int) (float64, bool) {
 		// Query 1 is Count(D, 0); query i >= 2 is Count(D, 2^(i-2)).
-		var bound int64
-		if i == 1 {
-			bound = 0
-		} else {
-			shift := uint(i - 2)
-			if shift >= 63 {
-				bound = math.MaxInt64
-			} else {
+		// Every |v| <= maxAbs, so bounds past maxAbs count everything.
+		bound := int64(0)
+		if i >= 2 {
+			bound = maxAbs
+			if shift := uint(i - 2); shift < 61 {
 				bound = int64(1) << shift
 			}
 		}
-		cnt := 0
-		for _, v := range xs {
-			if v >= -bound && v <= bound {
-				cnt++
-			}
-		}
-		return float64(cnt), true
+		first, _ := slices.BinarySearch(xs, -bound)
+		end, _ := slices.BinarySearch(xs, bound+1)
+		return float64(end - first), true
 	}, maxRadiusQueries)
 	if err != nil {
 		// The cap is unreachable except under extreme noise; fall back to
@@ -115,20 +125,25 @@ func Radius(rng *xrand.RNG, data []int64, eps, beta float64) (int64, error) {
 // |R̃(D)| <= 4·γ(D) missing only O(log(log(γ(D))/beta)/eps) elements of D,
 // with probability >= 1-beta, provided n > (c1/eps)·log(rad(D)/beta)
 // (Theorem 3.2). The budget splits ε/8 + ε/8 + 3ε/4 across the radius,
-// median, and recentred-radius steps, per the paper.
+// median, and recentred-radius steps, per the paper. Input order does not
+// matter; sorted input sorts in linear time.
 func Range(rng *xrand.RNG, data []int64, eps, beta float64) (lo, hi int64, err error) {
+	return rangeSorted(rng, sortedClamped(data), eps, beta)
+}
+
+// rangeSorted is Range over clamped data in increasing order.
+func rangeSorted(rng *xrand.RNG, xs []int64, eps, beta float64) (lo, hi int64, err error) {
 	if err := dp.CheckEpsilon(eps); err != nil {
 		return 0, 0, err
 	}
 	if err := dp.CheckBeta(beta); err != nil {
 		return 0, 0, err
 	}
-	if len(data) == 0 {
+	if len(xs) == 0 {
 		return 0, 0, dp.ErrEmptyData
 	}
-	xs := clampAll(data)
 
-	rad1, err := Radius(rng, xs, eps/8, beta/3)
+	rad1, err := radiusSorted(rng, xs, eps/8, beta/3)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -141,12 +156,14 @@ func Range(rng *xrand.RNG, data []int64, eps, beta float64) (lo, hi int64, err e
 	}
 
 	// Recentre (|med| <= rad1 <= maxAbs and |x| <= maxAbs, so the
-	// subtraction stays within int64) and re-estimate the radius.
+	// subtraction stays within int64), clamp as Radius would, and
+	// re-estimate the radius. Both maps are monotone, so the shifted data
+	// stays sorted.
 	shifted := make([]int64, len(xs))
 	for i, v := range xs {
-		shifted[i] = v - med
+		shifted[i] = clampInt64(v - med)
 	}
-	rad2, err := Radius(rng, shifted, 3*eps/4, beta/3)
+	rad2, err := radiusSorted(rng, shifted, 3*eps/4, beta/3)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -194,11 +211,13 @@ func Mean(rng *xrand.RNG, data []int64, eps, beta float64) (float64, error) {
 // Quantile is Algorithm 6 (InfiniteDomainQuantile): an eps-DP estimate of
 // the tau-th order statistic (1-based) over Z with rank error
 // O(log(γ(D)/β)/ε) w.p. >= 1-beta (Theorem 3.5). Budget: 4ε/5 range +
-// ε/5 finite-domain quantile.
+// ε/5 finite-domain quantile. Input order does not matter; sorted input
+// sorts in linear time.
 func Quantile(rng *xrand.RNG, data []int64, tau int, eps, beta float64) (int64, error) {
-	lo, hi, err := Range(rng, data, 4*eps/5, beta/2)
+	xs := sortedClamped(data)
+	lo, hi, err := rangeSorted(rng, xs, 4*eps/5, beta/2)
 	if err != nil {
 		return 0, err
 	}
-	return dp.FiniteDomainQuantile(rng, clampAll(data), tau, lo, hi, eps/5, beta/2)
+	return dp.FiniteDomainQuantile(rng, xs, tau, lo, hi, eps/5, beta/2)
 }

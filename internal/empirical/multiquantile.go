@@ -3,7 +3,7 @@ package empirical
 import (
 	"errors"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/dp"
 	"repro/internal/xrand"
@@ -26,6 +26,9 @@ var ErrNoQuantiles = errors.New("empirical: need at least one quantile rank")
 // equal values. The re-matching cannot increase the maximum rank error:
 // each value keeps its multiset membership and crossing pairs only move
 // values toward their correct side.
+//
+// Data is clamped and sorted once for the whole release; input order does
+// not matter, and sorted input sorts in linear time.
 func Quantiles(rng *xrand.RNG, data []int64, taus []int, eps, beta float64) ([]int64, error) {
 	if err := dp.CheckEpsilon(eps); err != nil {
 		return nil, err
@@ -42,15 +45,15 @@ func Quantiles(rng *xrand.RNG, data []int64, taus []int, eps, beta float64) ([]i
 	uniq := distinctSorted(taus)
 	k := float64(len(uniq))
 
-	lo, hi, err := Range(rng, data, 4*eps/5, beta/2)
+	xs := sortedClamped(data)
+	lo, hi, err := rangeSorted(rng, xs, 4*eps/5, beta/2)
 	if err != nil {
 		return nil, err
 	}
-	clamped := clampAll(data)
 
 	vals := make([]int64, len(uniq))
 	for i, tau := range uniq {
-		q, err := dp.FiniteDomainQuantile(rng, clamped, tau, lo, hi, eps/5/k, beta/2/k)
+		q, err := dp.FiniteDomainQuantile(rng, xs, tau, lo, hi, eps/5/k, beta/2/k)
 		if err != nil {
 			return nil, err
 		}
@@ -58,7 +61,7 @@ func Quantiles(rng *xrand.RNG, data []int64, taus []int, eps, beta float64) ([]i
 	}
 	// Monotone projection: uniq is strictly increasing, so sorting the
 	// released values and matching by position enforces monotonicity.
-	sort.Slice(vals, func(a, b int) bool { return vals[a] < vals[b] })
+	slices.Sort(vals)
 
 	byRank := make(map[int]int64, len(uniq))
 	for i, tau := range uniq {
@@ -92,7 +95,7 @@ func RealQuantiles(rng *xrand.RNG, data []float64, taus []int, b, eps, beta floa
 // distinctSorted returns the distinct values of taus in increasing order.
 func distinctSorted(taus []int) []int {
 	uniq := append([]int(nil), taus...)
-	sort.Ints(uniq)
+	slices.Sort(uniq)
 	w := 0
 	for i, v := range uniq {
 		if i == 0 || v != uniq[w-1] {

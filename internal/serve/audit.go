@@ -35,11 +35,15 @@ type auditSink interface {
 const memAuditMax = 4096
 
 // memAudit is the in-memory auditSink: same seq discipline as the
-// durable log, bounded retention, no durability.
+// durable log, bounded retention, no durability. Retention is a ring:
+// once memAuditMax records are held, each Append overwrites the oldest
+// in place, so an append is O(1) and the backing array never grows past
+// memAuditMax records.
 type memAudit struct {
 	mu   sync.Mutex
 	seq  uint64
-	recs []store.AuditRecord
+	recs []store.AuditRecord // oldest at recs[head] once full
+	head int
 }
 
 func (a *memAudit) Append(rec *store.AuditRecord) error {
@@ -49,18 +53,29 @@ func (a *memAudit) Append(rec *store.AuditRecord) error {
 	// seqs are gap-free. The newest retained record must sit exactly at
 	// the counter; anything else means the history this sink attests to
 	// has a hole, and appending past it would silently legitimize it.
-	if n := len(a.recs); n > 0 && a.recs[n-1].Seq != a.seq {
-		return fmt.Errorf("serve: audit seq gap: newest record at %d, counter at %d", a.recs[n-1].Seq, a.seq)
+	if n := len(a.recs); n > 0 {
+		if newest := a.recs[(a.head+n-1)%n].Seq; newest != a.seq {
+			return fmt.Errorf("serve: audit seq gap: newest record at %d, counter at %d", newest, a.seq)
+		}
 	}
 	a.seq++
 	rec.Seq = a.seq
 	if rec.TimeUnix == 0 {
 		rec.TimeUnix = time.Now().UnixNano()
 	}
-	a.recs = append(a.recs, *rec)
-	if len(a.recs) > memAuditMax {
-		a.recs = append(a.recs[:0:0], a.recs[len(a.recs)-memAuditMax:]...)
+	if len(a.recs) == memAuditMax {
+		a.recs[a.head] = *rec
+		a.head = (a.head + 1) % memAuditMax
+		return nil
 	}
+	if len(a.recs) == cap(a.recs) {
+		// Grow by doubling, capped at memAuditMax (append's own growth
+		// would overshoot it).
+		grown := make([]store.AuditRecord, len(a.recs), min(max(2*cap(a.recs), 16), memAuditMax))
+		copy(grown, a.recs)
+		a.recs = grown
+	}
+	a.recs = append(a.recs, *rec)
 	return nil
 }
 
@@ -71,7 +86,9 @@ func (a *memAudit) Page(after uint64, limit int) ([]store.AuditRecord, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	var out []store.AuditRecord
-	for _, r := range a.recs {
+	n := len(a.recs)
+	for i := 0; i < n; i++ {
+		r := a.recs[(a.head+i)%n]
 		if r.Seq <= after {
 			continue
 		}

@@ -5,8 +5,11 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/store"
 )
 
 // TestAuditMatchesLedger is the acceptance invariant: for a pure tenant
@@ -242,5 +245,71 @@ func TestAuditSurvivesCrash(t *testing.T) {
 	if auditC.Total != auditA.Total+1 || auditC.Records[len(auditC.Records)-1].Seq != auditA.Total+1 {
 		t.Fatalf("post-recovery append broke seq: total=%d last=%+v",
 			auditC.Total, auditC.Records[len(auditC.Records)-1])
+	}
+}
+
+// TestMemAuditRingWraparound drives the in-memory audit ring three times
+// round plus a partial lap and checks that retention, pagination order and
+// content, the seq-gap guard, and the bounded backing array all hold
+// across the wrap.
+func TestMemAuditRingWraparound(t *testing.T) {
+	const total = 3*memAuditMax + 7
+	a := &memAudit{}
+	for i := 1; i <= total; i++ {
+		if err := a.Append(&store.AuditRecord{ReleaseID: fmt.Sprintf("r%d", i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := a.Len(); got != total {
+		t.Fatalf("Len = %d, want %d", got, total)
+	}
+	if len(a.recs) != memAuditMax || cap(a.recs) > memAuditMax {
+		t.Fatalf("ring len %d cap %d, want len %d and cap <= %d", len(a.recs), cap(a.recs), memAuditMax, memAuditMax)
+	}
+
+	const oldest = total - memAuditMax + 1
+	// checkPage asserts Page(after, limit) is the consecutive run of
+	// retained seqs starting past after (or at the oldest retained one).
+	checkPage := func(after uint64, limit int) {
+		t.Helper()
+		page, err := a.Page(after, limit)
+		if err != nil {
+			t.Fatal(err)
+		}
+		first := max(after+1, oldest)
+		want := min(limit, max(0, total-int(first)+1))
+		if len(page) != want {
+			t.Fatalf("Page(%d, %d): %d records, want %d", after, limit, len(page), want)
+		}
+		for k, r := range page {
+			seq := first + uint64(k)
+			if r.Seq != seq || r.ReleaseID != fmt.Sprintf("r%d", seq) {
+				t.Fatalf("Page(%d, %d)[%d] = seq %d %q, want seq %d r%d", after, limit, k, r.Seq, r.ReleaseID, seq, seq)
+			}
+		}
+	}
+	// The physical end of the array holds seq 3·memAuditMax; a page
+	// around it reads across the wrap.
+	wrap := uint64(3 * memAuditMax)
+	for _, after := range []uint64{wrap - 3, wrap - 1, wrap, wrap + 2} {
+		checkPage(after, 6)
+	}
+	// Pages that reach into the discarded prefix start at the oldest
+	// retained record.
+	for _, after := range []uint64{0, 100, oldest - 1} {
+		checkPage(after, 5)
+	}
+	checkPage(0, memAuditMax+10) // the whole ring, oldest to newest
+	checkPage(total-2, 10)       // the newest two
+	checkPage(total, 10)         // nothing past the newest
+
+	// Tamper with the newest record: the next append must see the gap.
+	n := len(a.recs)
+	a.recs[(a.head+n-1)%n].Seq--
+	if err := a.Append(&store.AuditRecord{ReleaseID: "r-gap"}); err == nil || !strings.Contains(err.Error(), "audit seq gap") {
+		t.Fatalf("Append over a tampered ring: %v, want gap error", err)
+	}
+	if got := a.Len(); got != total {
+		t.Fatalf("Len after refused append = %d, want %d", got, total)
 	}
 }

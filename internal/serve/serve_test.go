@@ -285,7 +285,14 @@ func TestConcurrentMixedWorkloadBudgetEnforcement(t *testing.T) {
 }
 
 // Ingestion racing queries through the full HTTP stack. Run under -race.
+//
+// The writers run in lock-step with the queries: each round starts four
+// writers beside one query, and each writer inserts until that query
+// returns or it has written its per-round quota. Inserts overlap every
+// query, while the table's growth stays bounded (at most 25·4·perRound
+// rows) however the scheduler orders the goroutines.
 func TestIngestWhileQuerying(t *testing.T) {
+	const rounds, writers, perRound = 25, 4, 50
 	srv := New(Options{Seed: 4})
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
@@ -293,38 +300,41 @@ func TestIngestWhileQuerying(t *testing.T) {
 	c := newClient(t, ts.URL)
 	seedTenant(t, c, "acme", 1e6, 200)
 
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			cl := newClient(t, ts.URL)
-			for i := 0; ; i++ {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				uid := fmt.Sprintf("new-%d-%d", w, i)
-				rows := [][]any{{uid, 101.5, 3.0, "a"}}
-				if code := cl.do("POST", "/v1/tenants/acme/tables/metrics/rows",
-					InsertRowsRequest{Rows: rows}, nil); code != http.StatusOK {
-					t.Errorf("insert: status %d", code)
-					return
-				}
-			}
-		}(w)
+	cls := make([]*client, writers)
+	for w := range cls {
+		cls[w] = newClient(t, ts.URL)
 	}
-	for i := 0; i < 25; i++ {
+	for i := 0; i < rounds; i++ {
+		stop := make(chan struct{})
+		var wg sync.WaitGroup
+		for w := 0; w < writers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for k := 0; k < perRound; k++ {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					uid := fmt.Sprintf("new-%d-%d-%d", w, i, k)
+					rows := [][]any{{uid, 101.5, 3.0, "a"}}
+					if code := cls[w].do("POST", "/v1/tenants/acme/tables/metrics/rows",
+						InsertRowsRequest{Rows: rows}, nil); code != http.StatusOK {
+						t.Errorf("insert: status %d", code)
+						return
+					}
+				}
+			}(w)
+		}
 		if code := c.do("POST", "/v1/tenants/acme/query", QueryRequest{
 			SQL: "SELECT MEDIAN(v) FROM metrics", Epsilon: 1,
 		}, nil); code != http.StatusOK {
 			t.Errorf("query %d: status %d", i, code)
 		}
+		close(stop)
+		wg.Wait()
 	}
-	close(stop)
-	wg.Wait()
 }
 
 // Tenants are isolated: a release against one tenant must not move

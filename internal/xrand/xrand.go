@@ -261,25 +261,19 @@ func (r *RNG) Perm(n int) []int {
 
 // SampleIndices returns m distinct indices drawn uniformly without
 // replacement from [0, n), in random order, using a partial Fisher–Yates
-// walk over a sparse map (O(m) memory). It panics if m > n or m < 0.
+// walk over a dense array of the n indices (O(n) memory). It panics if
+// m > n or m < 0.
 func (r *RNG) SampleIndices(n, m int) []int {
 	if m < 0 || m > n {
 		panic("xrand: SampleIndices with m out of range")
 	}
-	moved := make(map[int]int, m)
-	out := make([]int, m)
+	p := make([]int, n)
+	for i := range p {
+		p[i] = i
+	}
 	for i := 0; i < m; i++ {
 		j := i + r.Intn(n-i)
-		vi, ok := moved[i]
-		if !ok {
-			vi = i
-		}
-		vj, ok := moved[j]
-		if !ok {
-			vj = j
-		}
-		out[i] = vj
-		moved[j] = vi
+		p[i], p[j] = p[j], p[i]
 	}
-	return out
+	return p[:m:m]
 }
