@@ -44,7 +44,10 @@ func selfServe(cfg loadgenConfig) (string, func(), error) {
 	}
 	// Queue sized to the offered concurrency so the benchmark measures
 	// service throughput, not the load-shedder (which has its own test).
-	srv := serve.New(serve.Options{Seed: cfg.seed, QueueDepth: 4 * cfg.clients})
+	srv, err := serve.Open(serve.Options{Seed: cfg.seed, QueueDepth: 4 * cfg.clients})
+	if err != nil {
+		return "", nil, err
+	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		srv.Close()

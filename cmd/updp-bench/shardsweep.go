@@ -95,7 +95,10 @@ type sweepResult struct {
 // sweepOne measures one shard count on a fresh in-process server.
 func sweepOne(cfg loadgenConfig, shards, ingesters, rowsPerIngester, releases int) (sweepResult, error) {
 	var res sweepResult
-	srv := serve.New(serve.Options{Seed: cfg.seed, QueueDepth: 4 * ingesters})
+	srv, err := serve.Open(serve.Options{Seed: cfg.seed, QueueDepth: 4 * ingesters})
+	if err != nil {
+		return res, err
+	}
 	defer srv.Close()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

@@ -115,10 +115,11 @@
 // deduction and the noise semantics are unchanged: for a fixed seed, a
 // sharded columnar tenant and an unsharded twin release bit-for-bit
 // identical answers. The wire and snapshot formats stay row-oriented
-// (rows materialize fresh from the columns on export), WAL row records
-// carry a shard tag and snapshots carry per-row placement, so recovery
-// rebuilds the same partitioning; pre-shard and pre-columnar data
-// directories boot unchanged with spend preserved. updp-bench -serve
+// (rows materialize fresh from the columns on export). Hash placement is
+// an invariant rather than recorded state: WAL row records and snapshots
+// carry rows in insertion order only, and Import reshards every row by
+// its user-id hash, so recovery rebuilds the same partitioning; pre-shard
+// and pre-columnar data directories boot unchanged with spend preserved. updp-bench -serve
 // -shards sweep reports ingest rows/sec and release latency at N=1,4,16.
 //
 // # Observability

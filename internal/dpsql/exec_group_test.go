@@ -1,10 +1,12 @@
 package dpsql
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -220,72 +222,97 @@ func TestGroupedBadBound(t *testing.T) {
 	}
 }
 
-// TestGroupedMixedPlacementFallback: a hand-built TableState may place
-// one user's rows on several shards, which would defeat the per-shard
-// clamp. The executor must detect the mixed placement and fall back to
-// the sequential arrival-order walk, matching the single-shard twin.
-func TestGroupedMixedPlacementFallback(t *testing.T) {
-	// Four users, two rows each in different groups; ShardOf deliberately
-	// splits every user across both shards.
-	st := TableState{
-		Name:    "events",
-		Columns: []Column{{Name: "uid", Kind: KindString}, {Name: "v", Kind: KindFloat}, {Name: "grp", Kind: KindString}},
-		UserCol: "uid",
-		Shards:  2,
-	}
-	groups := []string{"a", "b"}
-	for i := 0; i < 4; i++ {
-		uid := fmt.Sprintf("u%d", i)
-		for j := 0; j < 2; j++ {
-			st.Rows = append(st.Rows, []Value{Str(uid), Float(float64(i + j)), Str(groups[j])})
-			st.ShardOf = append(st.ShardOf, j)
+// TestImportStraddlingStateRehashes: a hand-built snapshot whose
+// recorded per-row placement ("shard_of", written by older builds)
+// splits every user across both shards still imports with every user in
+// its hash shard, so its grouped COUNT and UserMeans are bit-identical to
+// the single-shard twin's.
+func TestImportStraddlingStateRehashes(t *testing.T) {
+	// Eight users, three rows each in different groups; shard_of assigns
+	// row j of every user to shard j%2, so every user straddles.
+	var rows, shardOf []string
+	groups := []string{"a", "b", "c"}
+	for i := 0; i < 8; i++ {
+		for j := 0; j < 3; j++ {
+			rows = append(rows, fmt.Sprintf(`[{"k":2,"s":"u%d"},{"k":0,"f":%g},{"k":2,"s":"%s"}]`, i, 0.1*float64(i)+1.7*float64(j), groups[j]))
+			shardOf = append(shardOf, fmt.Sprint(j%2))
 		}
+	}
+	doc := `{"name":"events","columns":[{"name":"uid","kind":2},{"name":"v","kind":0},{"name":"grp","kind":2}],` +
+		`"user_col":"uid","shards":2,"rows":[` + strings.Join(rows, ",") + `],"shard_of":[` + strings.Join(shardOf, ",") + `]}`
+	var st TableState
+	if err := json.Unmarshal([]byte(doc), &st); err != nil {
+		t.Fatal(err)
 	}
 
 	db2 := NewDB()
-	db2.SetDefaultShards(2)
 	tab2, err := db2.Import(st)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !tab2.mixedPlacement.Load() {
-		t.Fatal("import with straddling placement did not flag mixedPlacement")
+	if tab2.NumShards() != 2 {
+		t.Fatalf("imported shards = %d", tab2.NumShards())
 	}
+	checkHashPlaced(t, tab2)
 	db1 := NewDB()
 	db1.SetDefaultShards(1)
-	if _, err := db1.Import(st); err != nil {
-		t.Fatal(err)
-	}
-
-	// Bound 1: every user's first-seen group is "a", so "b" must release
-	// an (exact, huge-ε) count of 0 admitted users — or not at all. The
-	// per-shard clamp would wrongly admit each user on both shards.
-	for _, db := range []*DB{db1, db2} {
-		got := map[string]int{}
-		res, err := db.ExecTraced(xrand.New(9), "SELECT COUNT(*) FROM events GROUP BY grp", 1e6, ExecOpts{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, r := range res.Rows {
-			got[r.Group.String()] = int(math.Round(r.Value))
-		}
-		if want := map[string]int{"a": 4}; !reflect.DeepEqual(got, want) {
-			t.Fatalf("shards=%d: counts %v, want %v", db.DefaultShards(), got, want)
-		}
-	}
-
-	// Hash-routed tables must never trip the fallback flag.
-	_, tab := buildTwin(t, 4)
-	if tab.mixedPlacement.Load() {
-		t.Fatal("hash-routed table flagged mixedPlacement")
-	}
-	dbr := NewDB()
-	dbr.SetDefaultShards(4)
-	tabr, err := dbr.Import(tab.Export())
+	tab1, err := db1.Import(st)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tabr.mixedPlacement.Load() {
-		t.Fatal("same-topology reimport of a hash-routed table flagged mixedPlacement")
+
+	m1, err := tab1.UserMeans("v")
+	if err != nil {
+		t.Fatal(err)
 	}
+	m2, err := tab2.UserMeans("v")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sameBits(m1, m2) {
+		t.Fatalf("UserMeans: %v (1 shard) vs %v (2 shards)", m1, m2)
+	}
+	for _, bound := range []int{1, 2, -1} {
+		r1, err := db1.ExecTraced(xrand.New(9), "SELECT COUNT(*) FROM events GROUP BY grp", 1e6, ExecOpts{GroupBound: bound})
+		if err != nil {
+			t.Fatal(err)
+		}
+		r2, err := db2.ExecTraced(xrand.New(9), "SELECT COUNT(*) FROM events GROUP BY grp", 1e6, ExecOpts{GroupBound: bound})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(r1.Rows) != len(r2.Rows) {
+			t.Fatalf("bound %d: %d vs %d groups", bound, len(r1.Rows), len(r2.Rows))
+		}
+		for i := range r1.Rows {
+			if r1.Rows[i].Group.String() != r2.Rows[i].Group.String() || !sameBits(r1.Rows[i].Values, r2.Rows[i].Values) {
+				t.Fatalf("bound %d row %d: %v %v vs %v %v", bound, i,
+					r1.Rows[i].Group, r1.Rows[i].Values, r2.Rows[i].Group, r2.Rows[i].Values)
+			}
+		}
+		if bound == 1 {
+			// Every user's first-seen group is "a", so only "a" releases,
+			// with an (exact, huge-ε) count of all eight users.
+			got := map[string]int{}
+			for _, r := range r2.Rows {
+				got[r.Group.String()] = int(math.Round(r.Value))
+			}
+			if want := map[string]int{"a": 8}; !reflect.DeepEqual(got, want) {
+				t.Fatalf("bound 1: counts %v, want %v", got, want)
+			}
+		}
+	}
+}
+
+// sameBits reports whether two float slices are identical bit for bit.
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
 }

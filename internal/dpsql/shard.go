@@ -2,7 +2,8 @@ package dpsql
 
 import (
 	"hash/fnv"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 	"time"
 )
@@ -136,9 +137,6 @@ func (sh *tableShard) view() shardSnap {
 	sh.mu.RUnlock()
 	return sn
 }
-
-// uid reads row i's user id through the dictionary.
-func (sn shardSnap) uid(i int) string { return sn.uids[sn.uix[i]] }
 
 // float reads row i of a numeric column as its Value.F payload — the
 // exact float64 the row store carried (int columns store int64(F), and
@@ -325,32 +323,24 @@ func mergeOrder(snaps []shardSnap, emit func(shard, row int)) {
 
 // mergeBySeq materializes the full row set in global insertion order —
 // the persistence path (Export, snapshot). Rows are built fresh from the
-// typed columns, bit-identical to the rows the store once held. shardOf,
-// when non-nil, receives the shard index of each merged row — the
-// topology carrier Export serializes.
-func mergeBySeq(t *Table, snaps []shardSnap, shardOf *[]int) [][]Value {
+// typed columns, bit-identical to the rows the store once held.
+func mergeBySeq(t *Table, snaps []shardSnap) [][]Value {
 	total := 0
 	for _, sn := range snaps {
 		total += sn.n
 	}
 	out := make([][]Value, 0, total)
-	if shardOf != nil {
-		*shardOf = make([]int, 0, total)
-	}
 	mergeOrder(snaps, func(s, i int) {
 		out = append(out, snaps[s].row(t, i))
-		if shardOf != nil {
-			*shardOf = append(*shardOf, s)
-		}
 	})
 	return out
 }
 
-// shardAggs is one shard's partial per-user accumulators, dense over the
-// shard's user dictionary: aggs[u] belongs to uids[u].
-type shardAggs struct {
+// userPart is one shard's per-user values, dense over the shard's user
+// dictionary: vals[u] belongs to uids[u].
+type userPart[T any] struct {
 	uids []string
-	aggs []userAgg
+	vals []T
 }
 
 // Chunked-scan tuning knobs. Shards at or above scanChunkMin rows split
@@ -383,9 +373,9 @@ func chunksFor(n int) int {
 // (sum over colIx, row count), in row order — all of a hash-routed user's
 // rows live in this shard in arrival order, so the partial IS that user's
 // full accumulator, built in the same order a monolithic scan would use.
-// colIx < 0 accumulates row counts only. Large shards take the chunked
-// parallel path; the bits are identical either way.
-func (t *Table) shardUserAggs(sn shardSnap, colIx int) shardAggs {
+// Large shards take the chunked parallel path; the bits are identical
+// either way.
+func (t *Table) shardUserAggs(sn shardSnap, colIx int) userPart[userAgg] {
 	if chunksFor(sn.n) > 1 && t.fanout() != nil {
 		return t.shardUserAggsChunked(sn, colIx)
 	}
@@ -394,21 +384,16 @@ func (t *Table) shardUserAggs(sn shardSnap, colIx int) shardAggs {
 
 // shardUserAggsSeq is the single-pass collapse: one dense accumulator per
 // dictionary user, indexed directly — no hash lookup in the loop.
-func (t *Table) shardUserAggsSeq(sn shardSnap, colIx int) shardAggs {
+func (t *Table) shardUserAggsSeq(sn shardSnap, colIx int) userPart[userAgg] {
 	aggs := make([]userAgg, sn.nu)
-	switch {
-	case colIx < 0:
-		for _, u := range sn.uix {
-			aggs[u].count++
-		}
-	case t.Columns[colIx].Kind == KindInt:
+	if t.Columns[colIx].Kind == KindInt {
 		is := sn.cols[colIx].is
 		for i, u := range sn.uix {
 			a := &aggs[u]
 			a.sum += float64(is[i])
 			a.count++
 		}
-	default:
+	} else {
 		fs := sn.cols[colIx].fs
 		for i, u := range sn.uix {
 			a := &aggs[u]
@@ -416,7 +401,7 @@ func (t *Table) shardUserAggsSeq(sn shardSnap, colIx int) shardAggs {
 			a.count++
 		}
 	}
-	return shardAggs{uids: sn.uids, aggs: aggs}
+	return userPart[userAgg]{uids: sn.uids, vals: aggs}
 }
 
 // shardUserAggsChunked is the work-stealing within-shard collapse, exact
@@ -434,7 +419,7 @@ func (t *Table) shardUserAggsSeq(sn shardSnap, colIx int) shardAggs {
 //
 // The phases fan on the same pool as the per-shard fan (nested calls are
 // caller-driven, so they cannot deadlock).
-func (t *Table) shardUserAggsChunked(sn shardSnap, colIx int) shardAggs {
+func (t *Table) shardUserAggsChunked(sn shardSnap, colIx int) userPart[userAgg] {
 	n, nu := sn.n, sn.nu
 	k := chunksFor(n)
 	lo := func(c int) int { return c * n / k }
@@ -450,14 +435,6 @@ func (t *Table) shardUserAggsChunked(sn shardSnap, colIx int) shardAggs {
 		cnt[c] = cc
 	})
 	aggs := make([]userAgg, nu)
-	if colIx < 0 {
-		for _, cc := range cnt {
-			for u, v := range cc {
-				aggs[u].count += int(v)
-			}
-		}
-		return shardAggs{uids: sn.uids, aggs: aggs}
-	}
 
 	// Prefix pass: starts[u] is user u's run start; cnt[c][u] becomes
 	// chunk c's write cursor inside that run (chunk order == row order).
@@ -512,66 +489,47 @@ func (t *Table) shardUserAggsChunked(sn shardSnap, colIx int) shardAggs {
 			aggs[u].sum = s
 		}
 	})
-	return shardAggs{uids: sn.uids, aggs: aggs}
+	return userPart[userAgg]{uids: sn.uids, vals: aggs}
 }
 
-// mergeUserAggs combines per-shard partial accumulators under one id
-// space, adding partials in shard order (deterministic even for a user
-// whose rows span shards — possible only for pre-shard data replayed into
-// shard 0), and returns ids sorted with the accumulators in lockstep.
-// This is the replace-one-user reduction's sharded form: the merged
-// collapse still changes in exactly one position between neighboring
-// databases.
-func mergeUserAggs(parts []shardAggs) ([]string, []userAgg) {
-	var (
-		ids  []string
-		aggs []userAgg
-	)
+// mergeUserParts joins per-shard per-user values under one id space and
+// returns them in user-id order. Hash placement gives every user exactly
+// one shard, so a user's value in its part is already its whole
+// contribution and the merge is a concatenation plus the id sort. This is
+// the replace-one-user reduction's sharded form: the merged collapse
+// still changes in exactly one position between neighboring databases.
+func mergeUserParts[T any](parts []userPart[T]) []T {
 	if len(parts) == 1 {
-		ids = parts[0].uids
-		aggs = parts[0].aggs
-	} else {
-		// Concatenate in shard order, then sort with the concatenation
-		// index as tiebreak: equal uids (a user whose rows landed in more
-		// than one shard — impossible under hash routing, but this merge
-		// does not rely on that) stay in shard order and their partials
-		// combine in that order below, exactly the fold a single pass in
-		// shard order would produce. Duplicates aside, this replaces a
-		// per-user map with one sort — much cheaper per release.
-		total := 0
-		for _, p := range parts {
-			total += len(p.uids)
-		}
-		ids = make([]string, 0, total)
-		aggs = make([]userAgg, 0, total)
-		for _, p := range parts {
-			ids = append(ids, p.uids...)
-			aggs = append(aggs, p.aggs...)
-		}
+		return byUserID(parts[0].uids, parts[0].vals)
 	}
+	total := 0
+	for _, p := range parts {
+		total += len(p.uids)
+	}
+	ids := make([]string, 0, total)
+	vals := make([]T, 0, total)
+	for _, p := range parts {
+		ids = append(ids, p.uids...)
+		vals = append(vals, p.vals...)
+	}
+	return byUserID(ids, vals)
+}
+
+// byUserID returns vals, parallel to the distinct ids, reordered into
+// ascending user-id order — the deterministic order every per-user
+// collapse is released in (the estimators consume the seeded RNG in input
+// order).
+func byUserID[T any](ids []string, vals []T) []T {
 	ord := make([]int, len(ids))
 	for i := range ord {
 		ord[i] = i
 	}
-	sort.Slice(ord, func(a, b int) bool {
-		ia, ib := ord[a], ord[b]
-		if ids[ia] != ids[ib] {
-			return ids[ia] < ids[ib]
-		}
-		return ia < ib
-	})
-	outIds := make([]string, 0, len(ids))
-	outAggs := make([]userAgg, 0, len(ids))
-	for _, j := range ord {
-		if n := len(outIds); n > 0 && outIds[n-1] == ids[j] {
-			outAggs[n-1].sum += aggs[j].sum
-			outAggs[n-1].count += aggs[j].count
-			continue
-		}
-		outIds = append(outIds, ids[j])
-		outAggs = append(outAggs, aggs[j])
+	slices.SortFunc(ord, func(a, b int) int { return strings.Compare(ids[a], ids[b]) })
+	out := make([]T, len(ord))
+	for i, j := range ord {
+		out[i] = vals[j]
 	}
-	return outIds, outAggs
+	return out
 }
 
 // ShardObserver receives one sample per shard of a fanned scan: the
@@ -584,9 +542,9 @@ type ShardObserver func(shard, rows int, d time.Duration)
 // fanUserAggs scans every shard (in parallel under the installed fan-out)
 // into partial per-user accumulators for colIx, reporting each shard's
 // scan to every observer.
-func (t *Table) fanUserAggs(colIx int, obs ...ShardObserver) []shardAggs {
+func (t *Table) fanUserAggs(colIx int, obs ...ShardObserver) []userPart[userAgg] {
 	snaps := t.shardSnapshots()
-	parts := make([]shardAggs, len(snaps))
+	parts := make([]userPart[userAgg], len(snaps))
 	t.runFan(len(snaps), func(i int) {
 		s0 := time.Now()
 		parts[i] = t.shardUserAggs(snaps[i], colIx)

@@ -38,6 +38,30 @@ func buildTwin(t *testing.T, shards int) (*DB, *Table) {
 	return db, tab
 }
 
+// userShards maps each user id to the shards whose dictionaries hold it.
+func userShards(tab *Table) map[string][]int {
+	out := map[string][]int{}
+	for si, sh := range tab.shards {
+		sh.mu.RLock()
+		for _, uid := range sh.uids {
+			out[uid] = append(out[uid], si)
+		}
+		sh.mu.RUnlock()
+	}
+	return out
+}
+
+// checkHashPlaced fails unless every user's rows sit in exactly its hash
+// shard.
+func checkHashPlaced(t *testing.T, tab *Table) {
+	t.Helper()
+	for uid, shards := range userShards(tab) {
+		if want := tab.shardFor(uid); len(shards) != 1 || shards[0] != want {
+			t.Fatalf("user %q in shards %v, want [%d]", uid, shards, want)
+		}
+	}
+}
+
 // TestShardReaderEquivalence: every reader must be bit-for-bit identical
 // between a sharded table and its unsharded twin — the merge of per-shard
 // partials is pure reorganization, not approximation.
@@ -115,13 +139,14 @@ func TestShardExecEquivalence(t *testing.T) {
 	}
 }
 
-// TestShardExportImportRoundTrip: a sharded export carries topology, and
-// importing it rebuilds the same partitioning and the same answers.
+// TestShardExportImportRoundTrip: a sharded export carries its shard
+// count, and importing it rebuilds the same partitioning and the same
+// answers.
 func TestShardExportImportRoundTrip(t *testing.T) {
 	_, tab := buildTwin(t, 4)
 	st := tab.Export()
-	if st.Shards != 4 || len(st.ShardOf) != len(st.Rows) {
-		t.Fatalf("export topology: shards=%d shard_of=%d rows=%d", st.Shards, len(st.ShardOf), len(st.Rows))
+	if st.Shards != 4 {
+		t.Fatalf("export topology: shards=%d", st.Shards)
 	}
 	db2 := NewDB()
 	db2.SetDefaultShards(4)
@@ -137,10 +162,10 @@ func TestShardExportImportRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(f1, f2) {
 		t.Fatal("round-trip lost insertion order")
 	}
-	st2 := tab2.Export()
-	if !reflect.DeepEqual(st.ShardOf, st2.ShardOf) {
+	if !reflect.DeepEqual(userShards(tab), userShards(tab2)) {
 		t.Fatal("round-trip changed row placement")
 	}
+	checkHashPlaced(t, tab2)
 }
 
 // TestShardImportReshards: importing under a different target shard count
@@ -172,7 +197,7 @@ func TestShardImportReshards(t *testing.T) {
 }
 
 // TestShardImportPreShardState: a TableState written before sharding (no
-// Shards, no ShardOf) imports cleanly into a single shard, and into a
+// Shards field) imports cleanly into a single shard, and into a
 // sharded target by hash.
 func TestShardImportPreShardState(t *testing.T) {
 	st := TableState{
@@ -228,10 +253,8 @@ func TestInsertShardRouting(t *testing.T) {
 	if err := tab.AppendRows([][]Value{{Str("user-3"), Float(99)}}); err != nil {
 		t.Fatal(err)
 	}
-	st := tab.Export()
-	last := st.ShardOf[len(st.ShardOf)-1]
-	if last != want["user-3"] {
-		t.Fatalf("AppendRows routed user-3 to shard %d, Insert used %d", last, want["user-3"])
+	if got := userShards(tab)["user-3"]; !reflect.DeepEqual(got, []int{want["user-3"]}) {
+		t.Fatalf("AppendRows routed user-3 to shards %v, Insert used %d", got, want["user-3"])
 	}
 }
 

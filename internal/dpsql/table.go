@@ -3,7 +3,6 @@ package dpsql
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -59,14 +58,6 @@ type Table struct {
 	_       [56]byte
 
 	fan atomic.Value // Fanout installed by the owning DB (may be nil)
-
-	// mixedPlacement records that at least one row was imported with an
-	// explicit shard assignment that disagrees with the hash route for
-	// its user — only hand-built TableStates can do this. Such a user's
-	// rows may straddle shards, which breaks the per-shard contribution
-	// clamp of bounded GROUP BY; ExecQueryTraced checks this flag and
-	// falls back to a sequential arrival-order clamp walk.
-	mixedPlacement atomic.Bool
 }
 
 // DB is a collection of tables with an optional shared privacy budget.
@@ -247,8 +238,7 @@ func (t *Table) Insert(vals ...Value) error {
 }
 
 // InsertShard appends one row and reports the shard it was routed to (by
-// user-id hash) — the ingest handler needs the destination to tag the
-// row's WAL record. Only the destination shard's lock is taken, so
+// user-id hash). Only the destination shard's lock is taken, so
 // concurrent inserts to different shards do not contend.
 func (t *Table) InsertShard(vals ...Value) (int, error) {
 	row, err := t.convertRow(vals)
@@ -268,18 +258,10 @@ func (t *Table) InsertShard(vals ...Value) (int, error) {
 // AppendRows validates and appends a batch of rows — the bulk path
 // snapshot import and WAL replay use. The batch is validated in full
 // before any row is stored, so a bad row rejects the whole batch; every
-// shard lock is held while the batch lands, so the batch becomes visible
-// atomically and in its original order. Rows are routed by user-id hash.
+// shard lock is held (taken in index order) while the batch lands, so the
+// batch becomes visible atomically and sequence numbers follow batch order
+// exactly. Rows are routed by user-id hash, like InsertShard.
 func (t *Table) AppendRows(rows [][]Value) error {
-	return t.appendRouted(rows, nil)
-}
-
-// appendRouted stores a validated batch. shardOf, when non-nil, overrides
-// hash routing with an explicit destination per row (snapshot import
-// preserving recorded topology); entries out of range fall back to the
-// hash. All shard locks are taken (in index order) so sequence numbers
-// follow batch order exactly.
-func (t *Table) appendRouted(rows [][]Value, shardOf []int) error {
 	conv := make([][]Value, len(rows))
 	for i, r := range rows {
 		row, err := t.convertRow(r)
@@ -291,18 +273,8 @@ func (t *Table) appendRouted(rows [][]Value, shardOf []int) error {
 	for _, sh := range t.shards {
 		sh.mu.Lock()
 	}
-	for i, row := range conv {
-		si := -1
-		if shardOf != nil && i < len(shardOf) && shardOf[i] >= 0 && shardOf[i] < t.nshards {
-			si = shardOf[i]
-			if t.nshards > 1 && si != t.shardFor(row[t.userIx].String()) {
-				t.mixedPlacement.Store(true)
-			}
-		}
-		if si < 0 {
-			si = t.shardFor(row[t.userIx].String())
-		}
-		t.shards[si].appendRow(t, row, t.nextSeq.Add(1)-1)
+	for _, row := range conv {
+		t.shards[t.shardFor(row[t.userIx].String())].appendRow(t, row, t.nextSeq.Add(1)-1)
 	}
 	for _, sh := range t.shards {
 		sh.mu.Unlock()
@@ -330,7 +302,7 @@ func (t *Table) NumRows() int {
 // table was fed — the persistence path (Export) and tests use it; the
 // scan paths never box rows.
 func (t *Table) snapshot() [][]Value {
-	return mergeBySeq(t, t.shardSnapshots(), nil)
+	return mergeBySeq(t, t.shardSnapshots())
 }
 
 // userAgg is one user's accumulated contribution to a numeric column.
@@ -354,27 +326,18 @@ type selPart struct {
 // feeding it to a record-level eps-DP mechanism yields a user-level
 // eps-DP release. colIx < 0 accumulates row counts only (COUNT). The
 // deterministic order matters beyond reproducibility: the estimators'
-// pairing/subsampling consume the seeded RNG in input order. Parts are
-// walked in shard order, rows in selection order — the exact fold the
-// row store ran over shard-order-concatenated group rows, so the bits
-// match even for a user whose rows span shards (pre-shard data replayed
-// into shard 0). (The full-table readers reach the same collapse by
-// merging dense per-shard partials instead — see shard.go.)
+// pairing/subsampling consume the seeded RNG in input order. Each part
+// folds densely over its shard's user dictionary, adding rows in
+// selection (= arrival) order — no map in the per-row loop. Hash
+// placement puts each user's rows in one shard, so each user's whole
+// fold happens inside one part and merging is pure concatenation. (The
+// full-table readers reach the same collapse by merging dense per-shard
+// partials instead — see shard.go.)
 func (t *Table) collapseSelection(snaps []shardSnap, parts []selPart, colIx int) []userAgg {
 	var kind Kind
 	if colIx >= 0 {
 		kind = t.Columns[colIx].Kind
 	}
-	// Fast path: dense per-shard accumulation indexed by the shard's user
-	// dictionary — no map in the per-row loop. Within a shard the dense
-	// fold adds rows in selection order, exactly the fold above; across
-	// shards users are disjoint under hash routing, so each user's whole
-	// fold happens inside one shard and merging is pure concatenation.
-	// A user CAN span shards (a hand-built TableState's recorded
-	// placement is honored verbatim), and merging dense partials would
-	// re-associate that user's additions — so the merge detects the
-	// collision and falls back to the sequential map fold, keeping the
-	// bit contract without taxing the overwhelmingly common case.
 	var (
 		ids  []string
 		aggs []userAgg
@@ -400,53 +363,7 @@ func (t *Table) collapseSelection(snaps []shardSnap, parts []selPart, colIx int)
 			}
 		}
 	}
-	ord := make([]int, len(ids))
-	for i := range ord {
-		ord[i] = i
-	}
-	sort.Slice(ord, func(a, b int) bool { return ids[ord[a]] < ids[ord[b]] })
-	out := make([]userAgg, len(ids))
-	for i, j := range ord {
-		if i > 0 && ids[j] == ids[ord[i-1]] {
-			return t.collapseSelectionSeq(snaps, parts, colIx) // straddler: exact fold
-		}
-		out[i] = aggs[j]
-	}
-	return out
-}
-
-// collapseSelectionSeq is the sequential reference fold: one map pass in
-// shard order, rows in selection order — the exact fold the row store
-// ran. collapseSelection delegates here when a user's rows span shards.
-func (t *Table) collapseSelectionSeq(snaps []shardSnap, parts []selPart, colIx int) []userAgg {
-	var kind Kind
-	if colIx >= 0 {
-		kind = t.Columns[colIx].Kind
-	}
-	users := map[string]*userAgg{}
-	ids := make([]string, 0, 64)
-	for _, p := range parts {
-		sn := snaps[p.shard]
-		for _, i := range p.idx {
-			uid := sn.uid(int(i))
-			u, ok := users[uid]
-			if !ok {
-				u = &userAgg{}
-				users[uid] = u
-				ids = append(ids, uid)
-			}
-			if colIx >= 0 {
-				u.sum += sn.float(kind, colIx, int(i))
-			}
-			u.count++
-		}
-	}
-	sort.Strings(ids)
-	out := make([]userAgg, len(ids))
-	for i, uid := range ids {
-		out[i] = *users[uid]
-	}
-	return out
+	return byUserID(ids, aggs)
 }
 
 // numericIndex resolves col and refuses string columns.
@@ -464,16 +381,17 @@ func (t *Table) numericIndex(col string) (int, error) {
 // UserMeans collapses the named numeric column to one contribution per
 // user — the mean of that user's rows. The scan fans out over the shards
 // (parallel under an installed Fanout), each shard folding its typed
-// column into dense per-user partials that merge by addition; because
-// users are hash-routed the merged collapse is bit-for-bit the
-// monolithic one. This is the estimate endpoint's input. Optional
-// observers receive one sample per shard of the fan (see ShardObserver).
+// column into dense per-user accumulators; because users are hash-routed
+// each accumulator is already that user's whole collapse, so the merged
+// output is bit-for-bit the monolithic one. This is the estimate
+// endpoint's input. Optional observers receive one sample per shard of
+// the fan (see ShardObserver).
 func (t *Table) UserMeans(col string, obs ...ShardObserver) ([]float64, error) {
 	ix, err := t.numericIndex(col)
 	if err != nil {
 		return nil, err
 	}
-	_, aggs := mergeUserAggs(t.fanUserAggs(ix, obs...))
+	aggs := mergeUserParts(t.fanUserAggs(ix, obs...))
 	out := make([]float64, len(aggs))
 	for i, u := range aggs {
 		out[i] = u.sum / float64(u.count)
@@ -483,12 +401,16 @@ func (t *Table) UserMeans(col string, obs ...ShardObserver) ([]float64, error) {
 
 // NumUsers returns the number of distinct users across every shard — the
 // unit count a user-level COUNT release privatizes (sensitivity 1 under a
-// one-user change). Per-shard counts cannot simply be summed while legacy
-// data replayed into shard 0 may share users with hash-routed rows, so
-// the ids are unioned.
-func (t *Table) NumUsers(obs ...ShardObserver) int {
-	ids, _ := mergeUserAggs(t.fanUserAggs(-1, obs...))
-	return len(ids)
+// one-user change). Hash placement keeps the shards' user dictionaries
+// disjoint, so the count is the sum of their sizes: no scan, no merge.
+func (t *Table) NumUsers() int {
+	n := 0
+	for _, sh := range t.shards {
+		sh.mu.RLock()
+		n += len(sh.uids)
+		sh.mu.RUnlock()
+	}
+	return n
 }
 
 // ColumnFloats returns the named numeric column's raw per-row values in
@@ -557,11 +479,11 @@ func (t *Table) ColumnInts(col string) ([]int64, error) {
 // UserIntSums collapses the named INT column to one integer contribution
 // per user (the sum of that user's rows) in deterministic order — the
 // input shape the paper's empirical-setting estimators (Section 3) take.
-// Each shard folds its int column into dense per-user partial sums
-// (exact, unlike float accumulation — chunked shards just add per-chunk
-// partials, integer addition being associative) that merge by addition.
-// Optional observers receive one sample per shard of the fan (see
-// ShardObserver).
+// Each shard folds its int column into dense per-user sums (exact, unlike
+// float accumulation — chunked shards just add per-chunk partials,
+// integer addition being associative), merged in user-id order like
+// UserMeans. Optional observers receive one sample per shard of the fan
+// (see ShardObserver).
 func (t *Table) UserIntSums(col string, obs ...ShardObserver) ([]int64, error) {
 	ix, err := t.ColumnIndex(col)
 	if err != nil {
@@ -572,11 +494,7 @@ func (t *Table) UserIntSums(col string, obs ...ShardObserver) ([]int64, error) {
 			col, t.Columns[ix].Kind, KindInt)
 	}
 	snaps := t.shardSnapshots()
-	type shardSums struct {
-		uids []string
-		sums []int64
-	}
-	parts := make([]shardSums, len(snaps))
+	parts := make([]userPart[int64], len(snaps))
 	t.runFan(len(snaps), func(si int) {
 		s0 := time.Now()
 		sn := snaps[si]
@@ -603,53 +521,10 @@ func (t *Table) UserIntSums(col string, obs ...ShardObserver) ([]int64, error) {
 				sums[u] += is[i]
 			}
 		}
-		parts[si] = shardSums{uids: sn.uids, sums: sums}
+		parts[si] = userPart[int64]{uids: sn.uids, vals: sums}
 		for _, ob := range obs {
 			ob(si, sn.n, time.Since(s0))
 		}
 	})
-	// Concatenate in shard order and sort with the concatenation index as
-	// tiebreak — the same map-free merge mergeUserAggs uses: equal uids
-	// combine in shard order (integer addition is associative anyway).
-	var (
-		ids  []string
-		sums []int64
-	)
-	if len(parts) == 1 {
-		ids = parts[0].uids
-		sums = parts[0].sums
-	} else {
-		total := 0
-		for _, p := range parts {
-			total += len(p.uids)
-		}
-		ids = make([]string, 0, total)
-		sums = make([]int64, 0, total)
-		for _, p := range parts {
-			ids = append(ids, p.uids...)
-			sums = append(sums, p.sums...)
-		}
-	}
-	ord := make([]int, len(ids))
-	for i := range ord {
-		ord[i] = i
-	}
-	sort.Slice(ord, func(a, b int) bool {
-		ia, ib := ord[a], ord[b]
-		if ids[ia] != ids[ib] {
-			return ids[ia] < ids[ib]
-		}
-		return ia < ib
-	})
-	out := make([]int64, 0, len(ids))
-	prev := ""
-	for _, j := range ord {
-		if len(out) > 0 && ids[j] == prev {
-			out[len(out)-1] += sums[j]
-			continue
-		}
-		out = append(out, sums[j])
-		prev = ids[j]
-	}
-	return out, nil
+	return mergeUserParts(parts), nil
 }

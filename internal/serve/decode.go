@@ -316,10 +316,23 @@ var errBadGroupBy = errors.New("serve: invalid group_by request")
 
 // ---------- decoding and validation ----------
 
+// maxBodyBytes caps every JSON request body. The largest bodies are
+// ingest batches (a 2,000-row batch is ~100 KB), so 8 MiB leaves ample
+// room while one POST can no longer exhaust the server's memory.
+const maxBodyBytes = 8 << 20
+
+// decodeJSON decodes one request body into v, writing 413 body_too_large
+// past maxBodyBytes and 400 bad_json on any other decoding failure.
 func decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			writeErr(w, http.StatusRequestEntityTooLarge, "body_too_large",
+				fmt.Errorf("serve: request body exceeds %d bytes", maxBodyBytes))
+			return false
+		}
 		writeErr(w, http.StatusBadRequest, "bad_json", fmt.Errorf("serve: decoding body: %w", err))
 		return false
 	}

@@ -43,7 +43,7 @@ func provisionGrouped(t *testing.T, c *client, id string, eps float64) {
 // release's ε for the whole grouped answer, appends exactly one audit
 // record, and replays byte-identical repeats from the cache for free.
 func TestHistogramEndpoint(t *testing.T) {
-	srv := New(Options{Seed: 5, Workers: 4})
+	srv := mustOpen(t, Options{Seed: 5, Workers: 4})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 	defer srv.Close()
@@ -128,7 +128,7 @@ func TestHistogramEndpoint(t *testing.T) {
 // release, grouped estimate responses carry Groups, and the malformed
 // shapes map to the new error codes.
 func TestGroupedQueryAndEstimate(t *testing.T) {
-	srv := New(Options{Seed: 6, Workers: 4})
+	srv := mustOpen(t, Options{Seed: 6, Workers: 4})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 	defer srv.Close()

@@ -14,7 +14,7 @@ import (
 // ---------- accounting backends over the wire ----------
 
 func TestCreateTenantAccountingConfig(t *testing.T) {
-	srv := New(Options{Seed: 11})
+	srv := mustOpen(t, Options{Seed: 11})
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
@@ -66,7 +66,7 @@ func TestCreateTenantAccountingConfig(t *testing.T) {
 // tenant sustains at least 2x the successful small releases of a pure-ε
 // twin before hitting 429 (quadratic vs linear composition).
 func TestZCDPTenantSustainsTwiceThePureReleases(t *testing.T) {
-	srv := New(Options{Seed: 12, Workers: 2})
+	srv := mustOpen(t, Options{Seed: 12, Workers: 2})
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
@@ -118,7 +118,7 @@ func TestZCDPTenantSustainsTwiceThePureReleases(t *testing.T) {
 // A windowed tenant recovers from 429 after one window tick — and cache
 // replays stay free even while the budget is exhausted.
 func TestWindowedTenantRecoversAfterTick(t *testing.T) {
-	srv := New(Options{Seed: 13})
+	srv := mustOpen(t, Options{Seed: 13})
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
@@ -214,7 +214,7 @@ func seedTables(t *testing.T, c *client, id string, nUsers int) {
 // ---------- response cache ----------
 
 func TestResponseCacheReplaysAndInvalidates(t *testing.T) {
-	srv := New(Options{Seed: 14})
+	srv := mustOpen(t, Options{Seed: 14})
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
@@ -290,7 +290,7 @@ func TestResponseCacheReplaysAndInvalidates(t *testing.T) {
 // ---------- per-record privacy unit ----------
 
 func TestEstimateRecordUnit(t *testing.T) {
-	srv := New(Options{Seed: 15})
+	srv := mustOpen(t, Options{Seed: 15})
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
@@ -344,7 +344,7 @@ func TestEstimateRecordUnit(t *testing.T) {
 // ---------- count stat: Laplace in eps, Gaussian natively in rho ----------
 
 func TestCountStatAcrossBackends(t *testing.T) {
-	srv := New(Options{Seed: 16})
+	srv := mustOpen(t, Options{Seed: 16})
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()

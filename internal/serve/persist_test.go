@@ -348,7 +348,7 @@ func TestConcurrentIngestVsFlush(t *testing.T) {
 // TestInMemoryServerUnchanged: without DataDir nothing touches disk and
 // the legacy New constructor still works.
 func TestInMemoryServerUnchanged(t *testing.T) {
-	srv := New(Options{Seed: 10})
+	srv := mustOpen(t, Options{Seed: 10})
 	defer srv.Close()
 	if srv.DataDir() != "" {
 		t.Fatalf("in-memory server has a data dir: %q", srv.DataDir())

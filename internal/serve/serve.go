@@ -91,10 +91,12 @@
 //     so a release charges exactly once regardless of N, with unchanged
 //     noise semantics (a sharded tenant and an unsharded twin with the
 //     same seed release identical answers and identical spend);
-//   - durable topology: WAL row records carry a shard tag and snapshots
-//     carry per-row placement, so recovery rebuilds the same partitioning;
-//     untagged (pre-shard) records replay into shard 0, and a pre-shard
-//     data directory boots as a single-shard tenant with spend preserved.
+//   - hash placement: every row of a user lives in the one shard its id
+//     hashes to. This is an invariant, not a recorded fact: WAL row
+//     records and snapshots carry rows in insertion order only, and
+//     recovery's Import reshards every row by hash, so it rebuilds the
+//     same partitioning. A pre-shard data directory boots as a
+//     single-shard tenant with spend preserved.
 //
 // Endpoints (all JSON; see handlers.go for wire types):
 //
@@ -247,11 +249,6 @@ type Server struct {
 	rngMu sync.Mutex
 	rng   *xrand.RNG
 
-	// noise banks bulk draws for fixed-shape mechanisms (the count
-	// stat), so a commit batch of same-shape releases shares one
-	// vectorized sampling pass.
-	noise *noiseBank
-
 	start time.Time
 
 	// metrics is the single source of truth for server-wide counters:
@@ -307,17 +304,6 @@ type Tenant struct {
 	cacheMisses atomic.Int64
 }
 
-// New returns a ready-to-serve in-memory Server. It panics if Open would
-// fail, which only a durable configuration (Options.DataDir) can cause —
-// durable servers should call Open and handle the error.
-func New(opts Options) *Server {
-	s, err := Open(opts)
-	if err != nil {
-		panic(fmt.Sprintf("serve.New: %v (use serve.Open for durable servers)", err))
-	}
-	return s
-}
-
 // Open returns a ready-to-serve Server. With Options.DataDir set it opens
 // the durable store and replays every persisted tenant — snapshot plus
 // WAL tail — back into the registry before serving, so recovered spend is
@@ -359,7 +345,6 @@ func Open(opts Options) (*Server, error) {
 		defShards: defShards,
 		tenants:   map[string]*Tenant{},
 		creating:  map[string]struct{}{},
-		noise:     newNoiseBank(rng.Split()),
 		rng:       rng,
 		start:     time.Now(),
 		metrics:   newMetricsSet(),

@@ -15,6 +15,16 @@ import (
 	"repro/internal/xrand"
 )
 
+// mustOpen opens an in-memory (or, with DataDir, durable) test server.
+func mustOpen(t testing.TB, opts Options) *Server {
+	t.Helper()
+	srv, err := Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return srv
+}
+
 // client is a minimal JSON client for the test server.
 type client struct {
 	t    *testing.T
@@ -97,7 +107,7 @@ func seedTenant(t *testing.T, c *client, id string, totalEps float64, nUsers int
 }
 
 func TestEndToEndSingleTenant(t *testing.T) {
-	srv := New(Options{Seed: 1, Workers: 4})
+	srv := mustOpen(t, Options{Seed: 1, Workers: 4})
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
@@ -138,7 +148,7 @@ func TestEndToEndSingleTenant(t *testing.T) {
 }
 
 func TestEstimateStatsAndErrors(t *testing.T) {
-	srv := New(Options{Seed: 2, Workers: 4})
+	srv := mustOpen(t, Options{Seed: 2, Workers: 4})
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
@@ -201,7 +211,7 @@ func TestEstimateStatsAndErrors(t *testing.T) {
 // traffic across two tenants, with exact per-tenant budget enforcement.
 // Run under -race.
 func TestConcurrentMixedWorkloadBudgetEnforcement(t *testing.T) {
-	srv := New(Options{Seed: 3, Workers: 8, QueueDepth: 64})
+	srv := mustOpen(t, Options{Seed: 3, Workers: 8, QueueDepth: 64})
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
@@ -291,9 +301,45 @@ func TestConcurrentMixedWorkloadBudgetEnforcement(t *testing.T) {
 // returns or it has written its per-round quota. Inserts overlap every
 // query, while the table's growth stays bounded (at most 25·4·perRound
 // rows) however the scheduler orders the goroutines.
+// TestOversizedIngestRejected: an ingest body past maxBodyBytes is refused
+// with 413 body_too_large before any of its rows is stored.
+func TestOversizedIngestRejected(t *testing.T) {
+	srv := mustOpen(t, Options{Seed: 8})
+	defer srv.Close()
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	c := newClient(t, ts.URL)
+	seedTenant(t, c, "acme", 10, 4)
+
+	row := []any{"u-oversized", 100.0, 1.0, "a"}
+	perRow, err := json.Marshal(row)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := make([][]any, maxBodyBytes/len(perRow)+1)
+	for i := range rows {
+		rows[i] = row
+	}
+	var e apiError
+	if code := c.do("POST", "/v1/tenants/acme/tables/metrics/rows", InsertRowsRequest{Rows: rows}, &e); code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized ingest: status %d, want 413", code)
+	}
+	if e.Code != "body_too_large" {
+		t.Fatalf("error code %q, want body_too_large", e.Code)
+	}
+	tn, _ := srv.tenantByID("acme")
+	tab, err := tn.db.TableByName("metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := tab.NumRows(); n != 8 {
+		t.Fatalf("table holds %d rows after the refused ingest, want the 8 seeded", n)
+	}
+}
+
 func TestIngestWhileQuerying(t *testing.T) {
 	const rounds, writers, perRound = 25, 4, 50
-	srv := New(Options{Seed: 4})
+	srv := mustOpen(t, Options{Seed: 4})
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
@@ -340,7 +386,7 @@ func TestIngestWhileQuerying(t *testing.T) {
 // Tenants are isolated: a release against one tenant must not move
 // another's ledger, and tenant ids must not collide.
 func TestTenantIsolation(t *testing.T) {
-	srv := New(Options{Seed: 5})
+	srv := mustOpen(t, Options{Seed: 5})
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
@@ -370,7 +416,7 @@ func TestTenantIsolation(t *testing.T) {
 // A load-shed estimate (full queue → 503) must not be charged: the spend
 // happens on the worker, after the request is accepted.
 func TestShedEstimateCostsNoBudget(t *testing.T) {
-	srv := New(Options{Seed: 7, Workers: 1, QueueDepth: 1})
+	srv := mustOpen(t, Options{Seed: 7, Workers: 1, QueueDepth: 1})
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
@@ -417,7 +463,7 @@ func TestShedEstimateCostsNoBudget(t *testing.T) {
 
 // The /v1/stats counters add up across tenants.
 func TestServerStats(t *testing.T) {
-	srv := New(Options{Seed: 6})
+	srv := mustOpen(t, Options{Seed: 6})
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()

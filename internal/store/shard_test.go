@@ -5,6 +5,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
+	"time"
 
 	"repro/internal/dp"
 	"repro/internal/dpsql"
@@ -15,8 +16,42 @@ func shardedConfig() TenantConfig {
 	return TenantConfig{Epsilon: 4, Accounting: "pure", Shards: 4}
 }
 
-// TestShardTaggedReplay: shard-tagged rows records rebuild the table's
-// placement map on recovery, interleaved with untagged (shard-0) ones.
+// checkImportHashPlaced imports a recovered table under the tenant's
+// shard count and checks that every shard holds exactly the rows whose
+// users hash to it (InsertShard on a fresh twin reports the hash route;
+// the per-shard observer reports what each imported shard holds).
+func checkImportHashPlaced(t *testing.T, tb dpsql.TableState, shards int) {
+	t.Helper()
+	db := dpsql.NewDB()
+	db.SetDefaultShards(shards)
+	tab, err := db.Import(tb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	twin, err := dpsql.NewDB().CreateSharded("twin", tb.Columns, tb.UserCol, shards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([]int, shards)
+	for _, r := range tb.Rows {
+		si, err := twin.InsertShard(r...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[si]++
+	}
+	got := make([]int, shards)
+	if _, err := tab.UserMeans("v", func(shard, rows int, _ time.Duration) { got[shard] = rows }); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("rows per shard after import %v, want hash placement %v", got, want)
+	}
+}
+
+// TestShardTaggedReplay: shard-tagged rows records (written by older
+// builds) recover in record order, interleaved with untagged ones, and
+// the tags are ignored: Import puts every user in its hash shard.
 func TestShardTaggedReplay(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir)
@@ -60,17 +95,18 @@ func TestShardTaggedReplay(t *testing.T) {
 	if len(tb.Rows) != 4 {
 		t.Fatalf("recovered %d rows", len(tb.Rows))
 	}
-	if want := []int{0, 0, 2, 1}; !reflect.DeepEqual(tb.ShardOf, want) {
-		t.Fatalf("placement map %v, want %v", tb.ShardOf, want)
+	if want := [][]dpsql.Value{row("u1", 1), row("u2", 2), row("u3", 3), row("u4", 4)}; !reflect.DeepEqual(tb.Rows, want) {
+		t.Fatalf("recovered rows %v, want record order %v", tb.Rows, want)
 	}
+	checkImportHashPlaced(t, tb, rec.Config.Shards)
 	if len(rec.Deducts) != 1 || rec.Deducts[0].Eps != 0.5 {
 		t.Fatalf("deducts: %+v", rec.Deducts)
 	}
 }
 
 // TestUntaggedReplayIsShardZero: a log written without shard tags (the
-// pre-shard encoding — shard-0 records are byte-identical to it) recovers
-// with no placement map, which the importer reads as everything-in-shard-0.
+// pre-shard encoding — shard-0 records are byte-identical to it) under a
+// pre-shard config recovers as a single-shard table holding every row.
 func TestUntaggedReplayIsShardZero(t *testing.T) {
 	dir := seedStore(t) // the PR 3 idiom: untagged rows records
 	s, rec := recoverOne(t, dir)
@@ -79,9 +115,6 @@ func TestUntaggedReplayIsShardZero(t *testing.T) {
 		t.Fatalf("legacy config grew shards = %d", rec.Config.Shards)
 	}
 	tb := rec.Tables[0]
-	if tb.ShardOf != nil {
-		t.Fatalf("legacy replay fabricated a placement map: %v", tb.ShardOf)
-	}
 	// The legacy state imports as a single-shard table with all rows.
 	db := dpsql.NewDB()
 	tab, err := db.Import(tb)
@@ -96,7 +129,7 @@ func TestUntaggedReplayIsShardZero(t *testing.T) {
 // TestTornTailShardTaggedKeepsDeductions: tearing the buffered tail of a
 // shard-tagged log drops at most trailing row batches — the fsynced
 // deduction before them always survives, and the intact tagged records
-// keep their placement.
+// recover in record order, imported into their users' hash shards.
 func TestTornTailShardTaggedKeepsDeductions(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir)
@@ -141,7 +174,8 @@ func TestTornTailShardTaggedKeepsDeductions(t *testing.T) {
 	if len(tb.Rows) != 2 {
 		t.Fatalf("intact tagged rows dropped: %d", len(tb.Rows))
 	}
-	if want := []int{3, 2}; !reflect.DeepEqual(tb.ShardOf, want) {
-		t.Fatalf("placement map %v, want %v", tb.ShardOf, want)
+	if want := [][]dpsql.Value{row("u1", 1), row("u2", 2)}; !reflect.DeepEqual(tb.Rows, want) {
+		t.Fatalf("recovered rows %v, want record order %v", tb.Rows, want)
 	}
+	checkImportHashPlaced(t, tb, rec.Config.Shards)
 }

@@ -149,11 +149,10 @@ type TenantSnapshot struct {
 	Tables []dpsql.TableState `json:"tables,omitempty"`
 }
 
-// record is one WAL line's JSON body. Shard tags a rows record with the
-// table shard the batch landed in, so replay rebuilds the same
-// partitioning; it is omitted when zero, which makes shard-0 records
-// byte-identical to the pre-shard encoding — old logs replay into shard 0
-// and old readers would ignore the tag.
+// record is one WAL line's JSON body. Shard is the shard tag older builds
+// wrote on rows records; it is omitted when zero (the serve layer now
+// always passes 0), and replay ignores it, since importing a table routes
+// every row by its user-id hash.
 type record struct {
 	Seq       uint64            `json:"seq"`
 	Type      string            `json:"type"`
@@ -539,12 +538,10 @@ func (tl *TenantLog) AppendTable(st dpsql.TableState) error {
 	return tl.append(record{Type: recTable, Table: &st}, true)
 }
 
-// AppendRows logs an ingestion batch bound for one table shard (the
-// ingest path splits a wire batch by destination and logs one record per
-// shard, so replay rebuilds the same partitioning; unsharded tables
-// always pass 0). It is buffered, not fsynced: a crash may lose trailing
-// batches (utility), never a deduction (privacy). The next AppendDeduct,
-// snapshot, or Close hardens it.
+// AppendRows logs an ingestion batch. shard is the record's legacy shard
+// tag (the serve layer passes 0; replay ignores it). It is buffered, not
+// fsynced: a crash may lose trailing batches (utility), never a deduction
+// (privacy). The next AppendDeduct, snapshot, or Close hardens it.
 func (tl *TenantLog) AppendRows(table string, shard int, rows [][]dpsql.Value) error {
 	if len(rows) == 0 {
 		return nil
